@@ -17,7 +17,7 @@ measurements, two acceptance criteria:
 * **recovery** — a durable 2-shard cluster records a keyed workload,
   is killed (handles abandoned, locks left behind), and every session
   is resumed from its journal+snapshot the way a restarted shard would
-  (:meth:`Webhouse.resume` — the same path ``_revive_engine`` and
+  (:meth:`Webhouse.resume` — the same path ``ShardHost.revive`` and
   cluster restart take).  Reported as a per-session recovery-time
   distribution plus the full-fleet restart wall time.  Criterion:
   every session recovers with its acknowledged history intact.

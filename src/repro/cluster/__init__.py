@@ -20,16 +20,21 @@ repo:
 * :class:`~repro.cluster.executor.Executor` — thread-pool scatter-
   gather with deterministic (item-order) gathering and the shard index
   bound to the observability context.
+* :class:`~repro.cluster.host.ShardHost` — the one implementation of
+  every shard operation (engines, journal resume, record dedupe,
+  revival), reached in-process by a
+  :class:`~repro.cluster.host.ThreadTransport` under the shard lock.
 * :class:`~repro.cluster.sharded.ShardedWebhouse` — the pool itself:
   keyed ``record``/``ask``/``answer`` plus fleet-wide ``ask_all`` /
   ``stats_all`` whose certain-answer union is invariant under the
-  shard count — and under the execution backend.
+  shard count — and under the transport.
 * :mod:`~repro.cluster.wire` — the length-prefixed, CRC-checked binary
-  frame codec (canonical JSON payloads) the process backend speaks.
+  frame codec (canonical JSON payloads) the process transport speaks.
 * :class:`~repro.cluster.proc.ProcWorkerPool` — one spawned worker
-  process per shard (``backend="process"``), so shard work runs on
-  real cores instead of timeslicing one GIL; dead workers respawn and
-  revive their engines from the journal.
+  process per shard (``backend="process"``), each running the same
+  ``ShardHost`` behind a :class:`~repro.cluster.proc.ProcTransport`, so
+  shard work runs on real cores instead of timeslicing one GIL; dead
+  workers respawn and revive their engines from the journal.
 
 See ``docs/CLUSTER.md`` for routing, rebalancing, admission control,
 and failure modes; ``repro serve --shards N --backend process`` puts
@@ -40,24 +45,17 @@ from __future__ import annotations
 
 from .admission import AdmissionController, POLICIES, ShardOverloaded
 from .executor import Executor, TaskOutcome
-from .locks import RWLock
-from .proc import (
-    ProcWorkerPool,
-    WORKER_OPS,
-    WorkerConfig,
+from .host import (
+    RETRYABLE_ERRORS,
+    ShardHost,
     WorkerError,
     WorkerFault,
     WorkerUnavailable,
 )
+from .locks import RWLock
+from .proc import ProcWorkerPool, WorkerConfig
 from .ring import DEFAULT_REPLICAS, Router, stable_hash
-from .sharded import (
-    BACKENDS,
-    PROC_RETRYABLE_ERRORS,
-    RETRYABLE_ERRORS,
-    ResiliencePolicy,
-    Shard,
-    ShardedWebhouse,
-)
+from .sharded import BACKENDS, ResiliencePolicy, Shard, ShardedWebhouse
 from .wire import WireError
 
 __all__ = [
@@ -66,7 +64,6 @@ __all__ = [
     "DEFAULT_REPLICAS",
     "Executor",
     "POLICIES",
-    "PROC_RETRYABLE_ERRORS",
     "ProcWorkerPool",
     "RETRYABLE_ERRORS",
     "ResiliencePolicy",
@@ -74,9 +71,9 @@ __all__ = [
     "Router",
     "Shard",
     "ShardedWebhouse",
+    "ShardHost",
     "ShardOverloaded",
     "TaskOutcome",
-    "WORKER_OPS",
     "WireError",
     "WorkerConfig",
     "WorkerError",

@@ -1,42 +1,34 @@
-"""Process-backed shard workers: the cluster's multi-core data plane.
+"""The process transport: a shard's host in its own worker process.
 
-The thread backend (:mod:`repro.cluster.sharded`) parallelizes shard
-work only as far as the GIL allows; this module gives each shard its
-own **worker process**, so per-shard Refine/answer work runs on real
-cores.  The paper makes the split safe: shards group whole sessions and
-never merge knowledge (Theorem 3.5), so a shard worker is a closed
-world — its engines, its durable ``SessionStore.shard(i)`` namespace,
-its journals — and certain-answer unions over shards stay monotone
-(Theorems 2.8/3.14) no matter where each shard evaluates.
+The thread transport (:mod:`repro.cluster.host`) parallelizes shard work
+only as far as the GIL allows.  Here each shard's
+:class:`~repro.cluster.host.ShardHost` — the same class, so the same
+operations, journal resume, dedupe and revival — runs in its own
+**worker process**, and per-shard Refine/answer work runs on real cores.
+A shard is a closed world (Theorem 3.5), so where it evaluates cannot
+change an answer.  This module adds only the transport:
 
-Topology: one :class:`ProcWorkerPool` owns N workers, each spawned with
-the stdlib ``multiprocessing`` **spawn** context (a fresh interpreter —
-no forked locks, deterministic imports) and connected by a duplex pipe.
-Every message on that pipe is a :mod:`repro.cluster.wire` frame:
-length-prefixed, CRC-checked canonical JSON.  The request envelope
-carries the caller's context across the hop — trace id, remaining
-deadline, and the armed fault-plan spec — so ``contextvars`` state
-survives where OS processes would drop it.
+* :class:`ProcTransport` — the parent-side ``call(op, args)``: encode the
+  host op's arguments, one round trip, decode the result.
+  :func:`_to_wire`/:func:`_from_wire` are the only code that knows how
+  host values cross the pipe.
+* :class:`ProcWorkerPool` — one worker per shard, spawned with the
+  ``multiprocessing`` **spawn** context (a fresh interpreter — no forked
+  locks) behind a duplex pipe of :mod:`repro.cluster.wire` frames.  The
+  request envelope carries the caller's trace id, remaining deadline
+  and armed fault-plan spec, so ``contextvars`` state survives the hop.
 
-Worker lifecycle:
-
-* **startup** — the worker builds its engines by resuming every
-  journaled session in its shard namespace (the same Theorem 3.5
-  snapshot+replay path a restart takes), then sends a hello frame;
-* **serving** — requests are handled strictly in order (a worker *is*
-  its shard's write lock); every response pushes back the worker's
-  latency-sketch and counter **deltas** since the previous response, so
-  the router merges fleet telemetry without polling;
-* **death** — a killed or hung worker is detected by EOF/poll timeout;
-  the pool respawns it on demand and the fresh worker revives its
-  engines from the journal.  A ``record`` acknowledged by the journal
-  but not by the pipe is deduplicated on retry by the worker's
-  last-pair check — the PR 9 exactly-once discipline, now across
-  processes.
-
-In-memory pools (no store) lose a killed shard's sessions on respawn —
-the sound degraded direction (empty sure part, ``may_have_more``), but
-a real deployment should give the pool a store.
+A worker builds its host (resuming every journaled session), sends a
+hello frame, then serves requests strictly in order — a worker *is* its
+shard's write lock.  Every response pushes back the request's service
+time, the worker's counter deltas and its request count, so the router
+merges fleet telemetry without polling.  A killed or hung worker shows
+up as EOF or a poll timeout; :class:`ProcTransport` respawns it before
+the caller's retry.  ``ping``, ``sleep`` and ``spans`` are worker-level
+debug ops that never reach the host.  In-memory pools (no store) lose a
+killed shard's sessions on respawn — the sound degraded direction (empty
+sure part, ``may_have_more``), but a real deployment should give the
+pool a store.
 """
 
 from __future__ import annotations
@@ -48,68 +40,39 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..core.query import PSQuery
+from ..core.tree import DataTree
 from ..faults.inject import (
-    FaultInjected,
+    active_plan,
     armed as _faults_armed,
     check_site as _check_site,
     fault_scope,
 )
 from ..faults.plan import FaultError, FaultPlan
 from ..faults.policies import Deadline, DeadlineExceeded
+from ..mediator.source import InMemorySource
 from ..obs.sketch import QuantileSketch
+from ..obs.spans import current_trace_id
 from ..obs.state import STATE as _OBS
-from ..store.journal import JournalError
-from ..store.session import StoreError
+from ..store.codec import query_from_json, query_to_json, tree_from_json, tree_to_json
 from . import wire
+from .host import (
+    HOST_OPS,
+    OP_FAMILY,
+    RETRYABLE_ERRORS,
+    SHARD_OPS,
+    ShardHost,
+    WorkerError,
+    WorkerFault,
+    WorkerUnavailable,
+)
 
 Json = Any
-
-#: The keyed operation families a worker keeps latency sketches for
-#: (mirrors ``sharded.SHARD_OPS``; defined here to keep the import
-#: direction ``sharded -> proc`` acyclic).
-WORKER_OPS = ("record", "ask", "answer")
-
-#: op name -> the sketch family its service time is observed under.
-_OP_FAMILY = {
-    "record": "record",
-    "ask": "ask",
-    "ask_info": "ask",
-    "answer": "answer",
-    "answer_info": "answer",
-    "answer_all": "answer",
-}
-
-#: Worker-side errors that the router may retry (after a respawn): the
-#: same set the thread backend retries, surfaced remotely.
-_WORKER_RETRYABLE = (FaultInjected, JournalError, StoreError, OSError)
-
-
-class WorkerError(RuntimeError):
-    """A worker reported a non-retryable failure for one request."""
-
-    def __init__(self, remote_type: str, message: str):
-        super().__init__(f"{remote_type}: {message}")
-        self.remote_type = remote_type
-
-
-class WorkerFault(WorkerError):
-    """A worker reported a *retryable* failure (store/fault-plane)."""
-
-
-class WorkerUnavailable(WorkerError):
-    """The worker process is dead, hung, or desynchronized.
-
-    Retryable by design: the resilience layer respawns the worker (its
-    engines revive from the journal) and retries the operation.
-    """
-
-    def __init__(self, message: str):
-        super().__init__("WorkerUnavailable", message)
 
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Everything a spawned worker needs to rebuild its shard world.
+    """Everything a spawned worker needs to rebuild its shard host.
 
     Plain picklable data only — the tree type travels as its
     ``store.codec`` JSON form, never as a live object.
@@ -125,250 +88,74 @@ class WorkerConfig:
     caches_enabled: bool = False
 
 
-# -- the worker process -------------------------------------------------------
+# -- the codec of host arguments and results -----------------------------------
 
 
-class _WorkerHost:
-    """The in-worker shard host: engines, store, books, op handlers."""
+def _to_wire(value: Any) -> Json:
+    """A host op's arguments or result as JSON.
 
-    def __init__(self, config: WorkerConfig):
-        from ..mediator.webhouse import Webhouse
-        from ..store.codec import treetype_from_json
-        from ..store.session import SessionStore
+    Host values are plain data plus three paper objects; each of those
+    travels as a one-key ``{"$tag": ...}`` object holding the
+    ``store.codec`` form the journal uses (a source as its document).
+    """
+    if isinstance(value, DataTree):
+        return {"$tree": tree_to_json(value)}
+    if isinstance(value, PSQuery):
+        return {"$query": query_to_json(value)}
+    if isinstance(value, InMemorySource):
+        return {"$source": tree_to_json(value.document())}
+    if isinstance(value, dict):
+        return {key: _to_wire(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_to_wire(item) for item in value]
+    return value
 
-        self.config = config
-        self.shard = config.shard
-        self.alphabet = sorted(set(config.alphabet))
-        self.tree_type = (
-            None
-            if config.tree_type_json is None
-            else treetype_from_json(config.tree_type_json)
+
+#: tag -> decoder for the tags the parent receives; the worker adds
+#: ``$source``, which needs its tree type and document cache.
+_DECODERS: Dict[str, Callable[[Json], Any]] = {
+    "$tree": tree_from_json,
+    "$query": query_from_json,
+}
+
+
+def _from_wire(value: Json, decoders: Dict[str, Callable[[Json], Any]]) -> Any:
+    """Inverse of :func:`_to_wire` (tuples come back as lists)."""
+    if isinstance(value, list):
+        return [_from_wire(item, decoders) for item in value]
+    if isinstance(value, dict):
+        if len(value) == 1:
+            ((tag, body),) = value.items()
+            if tag in decoders:
+                return decoders[tag](body)
+        return {key: _from_wire(item, decoders) for key, item in value.items()}
+    return value
+
+
+# -- the worker process ---------------------------------------------------------
+
+
+def _spans(limit: int) -> Json:
+    """Recent closed spans (flattened, preorder), for trace-propagation
+    checks."""
+    rows: List[Dict[str, Json]] = []
+    stack = list(_OBS.traces)[-limit:][::-1]
+    while stack:
+        span = stack.pop()
+        rows.append(
+            {
+                "name": span.name,
+                "trace_id": span.attrs.get("trace_id"),
+                "shard": span.attrs.get("shard"),
+            }
         )
-        self.auto_minimize = config.auto_minimize
-        self.store = (
-            None
-            if config.store_root is None
-            else SessionStore(config.store_root, snapshot_every=config.snapshot_every)
-        )
-        self._webhouse_cls = Webhouse
-        self.engines: Dict[str, Any] = {}
-        #: per-op-family service-time sketches, reset on every push-back
-        self.pending_sketches: Dict[str, QuantileSketch] = {
-            op: QuantileSketch() for op in WORKER_OPS
-        }
-        #: counter snapshot at the last push-back (deltas travel)
-        self._counter_base: Dict[str, float] = {}
-        #: parsed fault plans by spec, so trigger state (``nth``/``once``)
-        #: persists across the requests of one worker incarnation
-        self._plans: Dict[str, FaultPlan] = {}
-        #: decoded documents by their canonical JSON, so repeated asks
-        #: against one source do not rebuild the tree every time
-        self._sources: Dict[str, Any] = {}
-        self.requests_handled = 0
-        self._load_persisted()
-
-    # -- engine management ----------------------------------------------------
-
-    def _load_persisted(self) -> None:
-        """Resume every journaled session — startup and the revival path."""
-        if self.store is None:
-            return
-        for name in self.store.list_sessions():
-            engine = self._webhouse_cls.resume(self.store, name)
-            engine.prepare()
-            self.engines[name] = engine
-
-    def _engine(self, key: str, create: bool) -> Optional[Any]:
-        engine = self.engines.get(key)
-        if engine is not None or not create:
-            return engine
-        engine = self._webhouse_cls(
-            self.alphabet,
-            tree_type=self.tree_type,
-            auto_minimize=self.auto_minimize,
-        )
-        if self.store is not None:
-            session = self.store.create(
-                key,
-                self.alphabet,
-                tree_type=self.tree_type,
-                auto_minimize=self.auto_minimize,
-            )
-            engine.attach(session)
-        self.engines[key] = engine
-        return engine
-
-    def _source_for(self, document_json: Json):
-        from ..mediator.source import InMemorySource
-        from ..store.codec import canonical_dumps, tree_from_json
-
-        cache_key = canonical_dumps(document_json)
-        source = self._sources.get(cache_key)
-        if source is None:
-            source = InMemorySource(tree_from_json(document_json), self.tree_type)
-            if len(self._sources) >= 8:
-                self._sources.pop(next(iter(self._sources)))
-            self._sources[cache_key] = source
-        return source
-
-    # -- op handlers -----------------------------------------------------------
-
-    def handle(self, op: str, args: Dict[str, Json]) -> Json:
-        from ..store.codec import query_from_json, tree_to_json
-
-        if op == "ping":
-            return {"pid": os.getpid()}
-        if op == "sleep":  # debug/testing: simulate a hung worker
-            time.sleep(float(args.get("seconds", 0.0)))
-            return {"slept_s": float(args.get("seconds", 0.0))}
-        if op == "stats":
-            return self._stats()
-        if op == "spans":
-            return self._spans(int(args.get("limit", 64)))
-        if op == "answer_all":
-            query = query_from_json(args["query"])
-            rows = [
-                [key, tree_to_json(sure), more]
-                for key, (sure, more) in sorted(
-                    (key, engine.answer_with_caveats(query))
-                    for key, engine in self.engines.items()
-                )
-            ]
-            return {"rows": rows}
-        if op in ("record", "ask", "ask_info", "answer", "answer_info"):
-            return self._keyed(op, args)
-        raise ValueError(f"unknown worker op {op!r}")
-
-    def _keyed(self, op: str, args: Dict[str, Json]) -> Json:
-        from ..store.codec import query_from_json, tree_from_json, tree_to_json
-
-        key = str(args["key"])
-        query = query_from_json(args["query"])
-        if op == "record":
-            engine = self._engine(key, create=True)
-            answer = tree_from_json(args["answer"])
-            history = engine.history
-            if history and history[-1] == (query, answer):
-                # the journal acknowledged a crashed attempt; the retry
-                # is already done — exactly-once across the process hop
-                return {"recorded": False, "queries_recorded": len(history)}
-            engine.record(query, answer)
-            engine.prepare()
-            return {"recorded": True, "queries_recorded": len(engine.history)}
-        if op in ("ask", "ask_info"):
-            engine = self._engine(key, create=True)
-            source = self._source_for(args["document"])
-            answer = engine.ask(source, query)
-            engine.prepare()
-            result: Dict[str, Json] = {"answer": tree_to_json(answer)}
-            if op == "ask_info":
-                result.update(
-                    shard=self.shard,
-                    knowledge_size=engine.size(),
-                    queries_recorded=len(engine.history),
-                )
-            return result
-        # answer / answer_info: reads never create an engine, so probe
-        # traffic cannot grow the pool (the thread backend's contract)
-        engine = self._engine(key, create=False)
-        if engine is None:
-            sure_json: Json = None
-            more = True
-            size = recorded = 0
-        else:
-            sure, more = engine.answer_with_caveats(query)
-            sure_json = tree_to_json(sure)
-            size = engine.size()
-            recorded = len(engine.history)
-        result = {"sure": sure_json, "may_have_more": more}
-        if op == "answer_info":
-            result.update(
-                shard=self.shard, knowledge_size=size, queries_recorded=recorded
-            )
-        return result
-
-    def _stats(self) -> Json:
-        return {
-            "shard": self.shard,
-            "sessions": len(self.engines),
-            "session_keys": sorted(self.engines),
-            "queries_recorded": sum(
-                len(engine.history) for engine in self.engines.values()
-            ),
-            "knowledge_size": sum(
-                engine.size() for engine in self.engines.values()
-            ),
-            "pid": os.getpid(),
-            "requests_handled": self.requests_handled,
-        }
-
-    def _spans(self, limit: int) -> Json:
-        """Recent closed spans (flattened), for trace-propagation checks."""
-        rows: List[Dict[str, Json]] = []
-
-        def walk(span) -> None:
-            rows.append(
-                {
-                    "name": span.name,
-                    "trace_id": span.attrs.get("trace_id"),
-                    "shard": span.attrs.get("shard"),
-                }
-            )
-            for child in span.children:
-                walk(child)
-
-        for trace in list(_OBS.traces)[-limit:]:
-            walk(trace)
-        return {"spans": rows[-limit:]}
-
-    # -- books -----------------------------------------------------------------
-
-    def observe(self, op: str, seconds: float) -> None:
-        family = _OP_FAMILY.get(op)
-        if family is not None:
-            self.pending_sketches[family].observe(seconds)
-
-    def drain_books(self) -> Dict[str, Json]:
-        """The sketch/counter deltas since the last response (and reset)."""
-        sketches = {
-            op: sketch.to_dict()
-            for op, sketch in self.pending_sketches.items()
-            if sketch.count
-        }
-        for op in list(self.pending_sketches):
-            if op in sketches:
-                self.pending_sketches[op] = QuantileSketch()
-        counters: Dict[str, float] = {}
-        if _OBS.enabled:
-            current = dict(_OBS.metrics.counters())
-            for name, value in current.items():
-                delta = value - self._counter_base.get(name, 0)
-                if delta:
-                    counters[name] = delta
-            self._counter_base = current
-        return {"sketches": sketches, "counters": counters}
-
-    def plan_for(self, spec: Optional[str]) -> Optional[FaultPlan]:
-        if spec is None:
-            return None
-        plan = self._plans.get(spec)
-        if plan is None:
-            try:
-                plan = FaultPlan.parse(spec)
-            except FaultError:
-                return None  # a bad spec disarms rather than wedging the worker
-            self._plans[spec] = plan
-        return plan
-
-    def close(self) -> None:
-        for engine in self.engines.values():
-            if engine.session is not None:
-                engine.detach()
-        self.engines.clear()
+        stack.extend(reversed(span.children))
+    return {"spans": rows[-limit:]}
 
 
 def _worker_entry(config: WorkerConfig, conn) -> None:
-    """The spawned worker's main: serve wire frames until shutdown/EOF."""
+    """The spawned worker's main: serve wire frames until the parent
+    closes the pipe."""
     # the parent coordinates shutdown over the pipe; a terminal Ctrl-C
     # must not tear workers down mid-journal-write underneath it
     try:
@@ -376,73 +163,131 @@ def _worker_entry(config: WorkerConfig, conn) -> None:
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     from .. import obs, perf
-    from ..obs.spans import (
-        reset_shard,
-        reset_trace_id,
-        set_shard,
-        set_trace_id,
-        span as _span,
-    )
+    from ..obs.spans import reset_shard, reset_trace_id, set_shard, set_trace_id, span
+    from ..store.codec import canonical_dumps, treetype_from_json
+    from ..store.session import SessionStore
 
     if config.obs_enabled:
         obs.enable(obs.RingBufferSink())
     if config.caches_enabled:
         perf.enable_caches()
 
-    host = _WorkerHost(config)
+    tree_type = (
+        None if config.tree_type_json is None else treetype_from_json(config.tree_type_json)
+    )
+    store = (
+        None
+        if config.store_root is None
+        else SessionStore(config.store_root, snapshot_every=config.snapshot_every)
+    )
+    host = ShardHost(config.shard, config.alphabet, tree_type, config.auto_minimize, store)
+    handled = 0
+    #: counter snapshot at the last push-back (deltas travel)
+    counter_base: Dict[str, float] = {}
+
+    def books_for(op: str, seconds: float) -> Dict[str, Json]:
+        """This request's service time plus counter deltas since the
+        previous response: the books every response pushes back."""
+        sketches = {}
+        if op in OP_FAMILY:
+            sketch = QuantileSketch()
+            sketch.observe(seconds)
+            sketches[OP_FAMILY[op]] = sketch.to_dict()
+        counters: Dict[str, float] = {}
+        if _OBS.enabled:
+            current = dict(_OBS.metrics.counters())
+            for name, value in current.items():
+                if value != counter_base.get(name, 0):
+                    counters[name] = value - counter_base.get(name, 0)
+            counter_base.clear()
+            counter_base.update(current)
+        return {"sketches": sketches, "counters": counters, "requests_handled": handled}
+
+    #: parsed fault plans by spec, so trigger state (``nth``/``once``)
+    #: persists across the requests of one worker incarnation
+    plans: Dict[str, Optional[FaultPlan]] = {}
+    #: decoded sources by their canonical document JSON, so repeated
+    #: asks against one source do not rebuild the tree every time
+    sources: Dict[str, InMemorySource] = {}
+
+    def source_for(document: Json) -> InMemorySource:
+        cache_key = canonical_dumps(document)
+        source = sources.get(cache_key)
+        if source is None:
+            source = InMemorySource(tree_from_json(document), tree_type)
+            if len(sources) >= 8:
+                sources.pop(next(iter(sources)))
+            sources[cache_key] = source
+        return source
+
+    decoders = dict(_DECODERS, **{"$source": source_for})
+
+    def plan_for(spec: Optional[str]) -> Optional[FaultPlan]:
+        if spec is None:
+            return None
+        if spec not in plans:
+            try:
+                plans[spec] = FaultPlan.parse(spec)
+            except FaultError:
+                plans[spec] = None  # a bad spec disarms rather than wedging the worker
+        return plans[spec]
+
+    def handle(op: str, args: Dict[str, Json]) -> Json:
+        if op == "ping":
+            return {"pid": os.getpid()}
+        if op == "sleep":  # debug/testing: simulate a hung worker
+            time.sleep(float(args.get("seconds", 0.0)))
+            return {"slept_s": float(args.get("seconds", 0.0))}
+        if op == "spans":
+            return _spans(int(args.get("limit", 64)))
+        if op not in HOST_OPS:
+            raise ValueError(f"unknown worker op {op!r}")
+        return _to_wire(getattr(host, op)(**_from_wire(args, decoders)))
+
     conn.send_bytes(
         wire.encode_frame(
             wire.response_envelope(0, value={"pid": os.getpid(), "hello": True})
         )
     )
-    running = True
-    while running:
+    while True:
         try:
             data = conn.recv_bytes()
-        except (EOFError, OSError):
+        except (EOFError, OSError):  # the parent closed the pipe: shut down
             break
         seq = -1
-        books: Dict[str, Json] = {}
         try:
             request = wire.decode_request(wire.decode_frame(data))
             seq = request["seq"]
             op = request["op"]
-            if op == "shutdown":
-                running = False
-                response = wire.response_envelope(seq, value={"pid": os.getpid()})
-            else:
-                started = time.perf_counter()
-                shard_token = set_shard(config.shard)
-                trace_token = set_trace_id(request.get("trace_id"))
-                try:
-                    deadline_s = request.get("deadline_s")
-                    if deadline_s is not None and deadline_s <= 0:
-                        raise DeadlineExceeded(
-                            f"request deadline expired before worker "
-                            f"{config.shard} started"
-                        )
-                    plan = host.plan_for(request.get("fault_plan"))
-                    with fault_scope(plan):
-                        if _faults_armed():
-                            _check_site(f"cluster.worker.{config.shard}")
-                        with _span(f"worker.{op}", shard=config.shard):
-                            value = host.handle(op, request["args"])
-                finally:
-                    reset_trace_id(trace_token)
-                    reset_shard(shard_token)
-                host.observe(op, time.perf_counter() - started)
-                host.requests_handled += 1
-                books = host.drain_books()
-                response = wire.response_envelope(seq, value=value, books=books)
+            started = time.perf_counter()
+            shard_token = set_shard(config.shard)
+            trace_token = set_trace_id(request.get("trace_id"))
+            try:
+                deadline_s = request.get("deadline_s")
+                if deadline_s is not None and deadline_s <= 0:
+                    raise DeadlineExceeded(
+                        f"request deadline expired before worker "
+                        f"{config.shard} started"
+                    )
+                with fault_scope(plan_for(request.get("fault_plan"))):
+                    if _faults_armed():
+                        _check_site(f"cluster.worker.{config.shard}")
+                    with span(f"worker.{op}", shard=config.shard):
+                        value = handle(op, request["args"])
+            finally:
+                reset_trace_id(trace_token)
+                reset_shard(shard_token)
+            handled += 1
+            books = books_for(op, time.perf_counter() - started)
+            response = wire.response_envelope(seq, value=value, books=books)
         except BaseException as exc:  # every failure becomes a frame
             response = wire.response_envelope(
                 seq,
                 error={
                     "type": type(exc).__name__,
                     "message": str(exc),
-                    "retryable": isinstance(exc, _WORKER_RETRYABLE),
+                    "retryable": isinstance(exc, RETRYABLE_ERRORS),
                 },
-                books=books,
             )
         try:
             conn.send_bytes(wire.encode_frame(response))
@@ -466,9 +311,11 @@ class _Worker:
     seq: int = 0
     pid: Optional[int] = None
     restarts: int = 0
+    #: the worker's request count as of its last response
+    requests_handled: int = 0
     #: accumulated worker-side service-time sketches (delta merges)
     sketches: Dict[str, QuantileSketch] = field(
-        default_factory=lambda: {op: QuantileSketch() for op in WORKER_OPS}
+        default_factory=lambda: {op: QuantileSketch() for op in SHARD_OPS}
     )
     #: accumulated worker counter deltas
     counters: Dict[str, float] = field(default_factory=dict)
@@ -495,9 +342,6 @@ class ProcWorkerPool:
         self.request_timeout_s = float(request_timeout_s)
         self.spawn_timeout_s = float(spawn_timeout_s)
         self._stopping = False
-
-    def __len__(self) -> int:
-        return len(self._workers)
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -530,27 +374,16 @@ class ProcWorkerPool:
 
     def _await_hello(self, worker: _Worker) -> None:
         """Block until the worker's hello frame; caller holds the lock."""
-        if worker.conn is None:
-            raise WorkerUnavailable(f"worker {worker.config.shard} never spawned")
-        if not worker.conn.poll(self.spawn_timeout_s):
-            self._discard(worker)
-            raise WorkerUnavailable(
-                f"worker {worker.config.shard} did not come up within "
-                f"{self.spawn_timeout_s:g}s"
-            )
         try:
+            if not worker.conn.poll(self.spawn_timeout_s):
+                raise TimeoutError(f"did not come up within {self.spawn_timeout_s:g}s")
             hello = wire.decode_response(wire.decode_frame(worker.conn.recv_bytes()))
+            if not hello["ok"] or not (hello["value"] or {}).get("hello"):
+                raise wire.WireError("malformed hello")
         except (EOFError, OSError, wire.WireError) as exc:
             self._discard(worker)
-            raise WorkerUnavailable(
-                f"worker {worker.config.shard} failed during startup: {exc}"
-            )
-        if not hello["ok"] or not (hello["value"] or {}).get("hello"):
-            self._discard(worker)
-            raise WorkerUnavailable(
-                f"worker {worker.config.shard} sent a malformed hello"
-            )
-        worker.pid = (hello["value"] or {}).get("pid", worker.pid)
+            raise WorkerUnavailable(f"worker {worker.config.shard} failed to start: {exc}")
+        worker.pid = hello["value"].get("pid", worker.pid)
 
     def _discard(self, worker: _Worker) -> None:
         """Tear down a dead/hung worker's process + pipe (lock held)."""
@@ -569,9 +402,9 @@ class ProcWorkerPool:
     def ensure(self, shard: int) -> None:
         """Respawn shard's worker if it is dead — the revival path.
 
-        The fresh worker resumes every journaled session in its shard
-        namespace before serving (Theorem 3.5 snapshot+replay), so a
-        respawn after a kill loses nothing that reached the journal.
+        The fresh worker's host resumes every journaled session in its
+        shard namespace before serving (Theorem 3.5 snapshot+replay), so
+        a respawn after a kill loses nothing that reached the journal.
         """
         worker = self._workers[shard]
         with worker.lock:
@@ -593,25 +426,18 @@ class ProcWorkerPool:
             process.join(timeout=5)
 
     def stop(self) -> None:
-        """Orderly shutdown: ask each worker to exit, then reap."""
+        """Orderly shutdown: close every pipe (each worker reads EOF,
+        detaches its sessions and exits), then reap."""
         self._stopping = True
         for worker in self._workers:
             with worker.lock:
-                if worker.alive and worker.conn is not None:
-                    try:
-                        worker.seq += 1
-                        worker.conn.send_bytes(
-                            wire.encode_frame(
-                                wire.request_envelope(worker.seq, "shutdown")
-                            )
-                        )
-                    except (BrokenPipeError, OSError):
-                        pass
+                if worker.conn is not None:
+                    worker.conn.close()
+                    worker.conn = None
         for worker in self._workers:
             with worker.lock:
-                process = worker.process
-                if process is not None:
-                    process.join(timeout=5)
+                if worker.process is not None:
+                    worker.process.join(timeout=5)
                 self._discard(worker)
 
     # -- the request path -------------------------------------------------------
@@ -661,34 +487,20 @@ class ProcWorkerPool:
             )
             try:
                 worker.conn.send_bytes(wire.encode_frame(envelope))
-            except (BrokenPipeError, OSError) as exc:
-                self._discard(worker)
-                raise WorkerUnavailable(f"worker {shard} pipe is broken: {exc}")
-            if not worker.conn.poll(timeout):
-                # a hung worker blocks its whole shard; kill it so the
-                # respawn path can bring the shard back from the journal
-                self._discard(worker)
-                raise WorkerUnavailable(
-                    f"worker {shard} did not answer within {timeout:g}s"
-                )
-            try:
+                if not worker.conn.poll(timeout):
+                    raise TimeoutError(f"did not answer within {timeout:g}s")
                 response = wire.decode_response(
                     wire.decode_frame(worker.conn.recv_bytes())
                 )
-            except (EOFError, OSError) as exc:
+                if response["seq"] != seq:
+                    raise wire.WireError(
+                        f"desynchronized (expected seq {seq}, got {response['seq']})"
+                    )
+            except (EOFError, OSError, wire.WireError) as exc:
+                # a dead, hung, or garbled worker blocks its whole shard;
+                # kill it so the respawn path can bring the shard back
                 self._discard(worker)
-                raise WorkerUnavailable(f"worker {shard} died mid-request: {exc}")
-            except wire.WireError as exc:
-                self._discard(worker)
-                raise WorkerUnavailable(
-                    f"worker {shard} sent an undecodable frame: {exc}"
-                )
-            if response["seq"] != seq:
-                self._discard(worker)
-                raise WorkerUnavailable(
-                    f"worker {shard} desynchronized "
-                    f"(expected seq {seq}, got {response['seq']})"
-                )
+                raise WorkerUnavailable(f"worker {shard}: {type(exc).__name__}: {exc}")
             self._fold_books(worker, response.get("books") or {})
         if response["ok"]:
             return response["value"]
@@ -697,16 +509,15 @@ class ProcWorkerPool:
     def _raise_remote(self, shard: int, error: Dict[str, Json]) -> Json:
         remote_type = str(error.get("type", "Exception"))
         message = str(error.get("message", ""))
-        if remote_type == "ValueError":
-            raise ValueError(message)
-        if remote_type == "DeadlineExceeded":
-            raise DeadlineExceeded(message)
-        if error.get("retryable"):
-            raise WorkerFault(remote_type, f"worker {shard}: {message}")
-        raise WorkerError(remote_type, f"worker {shard}: {message}")
+        local = {"ValueError": ValueError, "DeadlineExceeded": DeadlineExceeded}
+        if remote_type in local:
+            raise local[remote_type](message)
+        kind = WorkerFault if error.get("retryable") else WorkerError
+        raise kind(f"{remote_type}: worker {shard}: {message}")
 
     def _fold_books(self, worker: _Worker, books: Dict[str, Json]) -> None:
         """Merge one response's pushed-back deltas (lock held)."""
+        worker.requests_handled = books.get("requests_handled", worker.requests_handled)
         for op, document in (books.get("sketches") or {}).items():
             if op in worker.sketches:
                 worker.sketches[op].merge(QuantileSketch.from_dict(document))
@@ -726,7 +537,7 @@ class ProcWorkerPool:
             op: QuantileSketch.merged(
                 [worker.sketches[op] for worker in self._workers]
             )
-            for op in WORKER_OPS
+            for op in SHARD_OPS
         }
 
     def stats(self) -> List[Dict[str, Json]]:
@@ -737,6 +548,7 @@ class ProcWorkerPool:
                 "pid": worker.pid,
                 "alive": worker.alive,
                 "restarts": worker.restarts,
+                "requests_handled": worker.requests_handled,
                 "counters": dict(worker.counters),
             }
             for worker in self._workers
@@ -747,9 +559,48 @@ class ProcWorkerPool:
         return f"ProcWorkerPool(workers={len(self._workers)}, alive={alive})"
 
 
+class ProcTransport:
+    """Runs shard ``index``'s :class:`ShardHost` in its pool worker."""
+
+    __slots__ = ("pool", "index")
+
+    def __init__(self, pool: ProcWorkerPool, index: int):
+        self.pool = pool
+        self.index = index
+
+    def call(
+        self, op: str, args: Dict[str, object], deadline: Optional[Deadline] = None
+    ) -> object:
+        try:
+            value = self.pool.request(
+                self.index,
+                op,
+                _to_wire(args),
+                trace_id=current_trace_id(),
+                deadline=deadline,
+                plan=active_plan(),
+            )
+        except WorkerUnavailable:
+            # respawn now, so the caller's retry reaches a fresh worker
+            # whose host has resumed every journaled session
+            self.pool.ensure(self.index)
+            raise
+        return _from_wire(value, _DECODERS)
+
+    def engines(self) -> Dict[str, object]:
+        raise NotImplementedError(
+            "backend='process' hosts engines in worker processes; use "
+            "answer_info()/stats_all() for per-session books, and rebuild "
+            "the cluster against the store to resize it"
+        )
+
+    def close(self) -> None:
+        self.pool.stop()
+
+
 __all__ = [
+    "ProcTransport",
     "ProcWorkerPool",
-    "WORKER_OPS",
     "WorkerConfig",
     "WorkerError",
     "WorkerFault",

@@ -479,7 +479,8 @@ class OpsServer:
 
         Wired only when ``degrade_on_burn`` is set.  Single-engine mode
         applies the remedy under the engine write lock; cluster mode
-        applies it to every session engine, shard by shard (each
+        applies it to every session engine, shard by shard, on either
+        backend (:meth:`ShardedWebhouse.apply_remedy`; each
         representation shrinks independently — Theorem 3.5 keeps the
         sessions' knowledge separate).
         """
@@ -487,10 +488,7 @@ class OpsServer:
         if remedy is None:
             return
         if self.cluster is not None:
-            for shard in self.cluster._shards:
-                with shard.lock.write_locked():
-                    for engine in shard.engines.values():
-                        engine.apply_remedy(remedy)
+            self.cluster.apply_remedy(remedy)
         else:
             with self._engine_lock.write_locked():
                 self.webhouse.apply_remedy(remedy)
@@ -785,16 +783,17 @@ class OpsServer:
             }
         if mode == "fetch":
             raise OpsError(400, "mode=fetch needs a session=KEY in cluster mode")
-        sure, may_have_more = self.cluster.ask_all(query)
+        # one fan-out: the union and the fleet books come back together
+        info = self.cluster.ask_all_info(query)
         return {
             "query": spec,
             "mode": mode,
             "scope": "fleet",
-            "sessions": len(self.cluster),
+            "sessions": info["sessions_answered"],
             "shards": self.cluster.shards,
-            "sure_nodes": len(sure),
-            "may_have_more": may_have_more,
-            "knowledge_size": self.cluster.size(),
+            "sure_nodes": len(info["sure"]),
+            "may_have_more": info["may_have_more"],
+            "knowledge_size": info["knowledge_size"],
         }
 
     def _handle_slo(self, params, extras) -> Tuple[int, str, str]:

@@ -13,6 +13,7 @@ fleet telemetry merges without polling.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -220,6 +221,87 @@ def test_journal_fault_absorbed_exactly_once(tmp_path):
         cluster.close()
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_unjournaled_write_survives_reopen(tmp_path, backend):
+    """A record whose journal append failed is not acknowledged from
+    memory: the host revives the engine from disk, the retry journals
+    the pair, and a reopened cluster finds it exactly once."""
+    source = _source()
+    query = query1()
+    answer = source.ask(query)
+
+    def open_cluster():
+        return ShardedWebhouse(
+            CATALOG_ALPHABET,
+            tree_type=catalog_type(),
+            shards=2,
+            backend=backend,
+            store=SessionStore(str(tmp_path)),
+        )
+
+    cluster = open_cluster()
+    try:
+        with fault_scope(FaultPlan.parse("store.journal.append:error:once")):
+            cluster.record("bob", query, answer)
+        assert cluster.answer_info("bob", query)["queries_recorded"] == 1
+    finally:
+        cluster.close()
+    reopened = open_cluster()
+    try:
+        assert reopened.answer_info("bob", query)["queries_recorded"] == 1
+    finally:
+        reopened.close()
+
+
+# -- remedies and fleet books on both backends ---------------------------------
+
+
+def test_degrade_remedy_reaches_every_backend():
+    """The SLO degrade hook's remedy reaches every session engine,
+    worker-hosted ones included, and changes them alike."""
+    source = _source()
+    sizes = {}
+    for backend in BACKENDS:
+        cluster = ShardedWebhouse(
+            CATALOG_ALPHABET, tree_type=catalog_type(), shards=2, backend=backend
+        )
+        server = OpsServer(cluster=cluster, source=source)
+        try:
+            for key in _KEYS[:3]:
+                cluster.ask(key, source, query1())
+            plain = cluster.answer_info(_KEYS[1], query1())["knowledge_size"]
+            server._degrade_for_burn(SimpleNamespace(remedy="conjunctive"))
+            assert server.remedies_applied == ["conjunctive"]
+            cluster.ask(_KEYS[0], source, query2())
+            sizes[backend] = [
+                cluster.answer_info(key, query1())["knowledge_size"]
+                for key in _KEYS[:3]
+            ]
+            assert sizes[backend][1] != plain, f"{backend}: remedy had no effect"
+        finally:
+            server.request_log.close()
+            cluster.close()
+    assert sizes["thread"] == sizes["process"]
+
+
+def test_fleet_ask_is_one_worker_request_per_shard():
+    """A fleet ``/ask`` takes its union and its books from one fan-out."""
+    cluster, source = demo_cluster(shards=2, backend="process", tenants=2)
+    server = OpsServer(cluster=cluster, source=source)
+    try:
+        before = [row["requests_handled"] for row in cluster.worker_stats()]
+        status, body = drive_request(server, "/ask?q=q2")
+        after = [row["requests_handled"] for row in cluster.worker_stats()]
+        assert status == 200
+        assert [b - a for a, b in zip(before, after)] == [1, 1]
+        document = json.loads(body)
+        assert document["sessions"] == len(cluster)
+        assert document["knowledge_size"] == cluster.size()
+    finally:
+        server.request_log.close()
+        cluster.close()
+
+
 # -- context propagation across the hop ---------------------------------------
 
 
@@ -318,8 +400,6 @@ def test_pool_standalone_lifecycle():
 def test_backend_validation():
     with pytest.raises(ValueError):
         ShardedWebhouse("ab", backend="fibers")
-    with pytest.raises(ValueError):
-        ShardedWebhouse("ab", backend="process", factory=lambda: None)
     cluster = ShardedWebhouse(
         CATALOG_ALPHABET, tree_type=catalog_type(), shards=1, backend="process"
     )
